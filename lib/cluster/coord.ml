@@ -189,33 +189,43 @@ let experiment_config (spec : Protocol.job_spec) circuit =
     ~target_yield:spec.target_yield ~collapse_faults:spec.collapse_faults
     ~min_weight_ratio:spec.min_weight_ratio circuit
 
-(* Stage waves respecting the experiment DAG: atpg and layout-ifa only
-   need mapping; fault-sim needs atpg, swift needs atpg + layout-ifa.
+(* Stage waves for a fanned-out submit: the topological levels of the
+   experiment's stage DAG, each stage one level above its deepest input.
    Stages within a wave fan out to their (generally different) home
-   workers concurrently, warming the distributed store before the final
-   [Submit] stitches the projection together from cache hits. *)
-let fanout_waves = [ [ "atpg"; "layout-ifa" ]; [ "fault-sim"; "swift" ] ]
+   workers concurrently; each wave finds its inputs in the distributed
+   store, so the final [Submit] is stitched together from cache hits. *)
+let fanout_waves cfg =
+  let levels =
+    List.fold_left
+      (fun levels (stage, inputs) ->
+        let level =
+          List.fold_left (fun l i -> max l (List.assoc i levels + 1)) 0 inputs
+        in
+        (stage, level) :: levels)
+      [] (Experiment.stage_inputs cfg)
+    |> List.rev
+  in
+  let depth = List.fold_left (fun d (_, l) -> max d (l + 1)) 0 levels in
+  List.init depth (fun l ->
+      List.filter_map (fun (s, l') -> if l' = l then Some s else None) levels)
 
-let fanout t (spec : Protocol.job_spec) keys =
+let fanout t (spec : Protocol.job_spec) cfg =
+  let keys = Experiment.stage_keys cfg in
   List.iter
     (fun wave ->
-      let threads =
-        List.filter_map
-          (fun stage ->
-            match List.assoc_opt stage keys with
-            | None -> None
-            | Some key ->
-                Some
-                  (Thread.create
-                     (fun () ->
-                       (* Best-effort warm-up: a failed stage job just
-                          means the final submit computes it. *)
-                       ignore (dispatch t ~key (Protocol.Serve_stage { spec; stage })))
-                     ()))
-          wave
-      in
-      List.iter Thread.join threads)
-    fanout_waves
+      List.map
+        (fun stage ->
+          Thread.create
+            (fun () ->
+              (* Best-effort warm-up: a failed stage job just means the
+                 final submit computes it. *)
+              ignore
+                (dispatch t ~key:(List.assoc stage keys)
+                   (Protocol.Serve_stage { spec; stage })))
+            ())
+        wave
+      |> List.iter Thread.join)
+    (fanout_waves cfg)
 
 let observe t t0 resp =
   (match resp with
@@ -235,12 +245,11 @@ let handle_submit t (spec : Protocol.job_spec) =
   | Error msg -> Protocol.Server_error msg
   | Ok circuit ->
       let cfg = experiment_config spec circuit in
-      let keys = Experiment.stage_keys cfg in
-      let key = List.assoc "projection" keys in
       Metrics.incr_accepted t.metrics;
       Metrics.incr_executed t.metrics;
-      if t.cfg.fanout_stages then fanout t spec keys;
-      observe t t0 (dispatch t ~key (Protocol.Submit spec))
+      if t.cfg.fanout_stages then fanout t spec cfg;
+      observe t t0
+        (dispatch t ~key:(Experiment.request_key cfg) (Protocol.Submit spec))
 
 let handle_serve_stage t (spec : Protocol.job_spec) ~stage =
   let t0 = Unix.gettimeofday () in

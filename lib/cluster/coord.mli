@@ -27,10 +27,10 @@ type config = {
   max_in_flight : int;      (** Per-worker outstanding-dispatch cap. *)
   probe_period_s : float;
   fanout_stages : bool;
-      (** Fan a [Submit] out as [serve-stage] waves ([atpg] + [layout-ifa],
-          then [fault-sim] + [swift]) across the ring before relaying the
-          final submit — the distributed store then serves the submit's
-          stages as hits/fetches. *)
+      (** Fan a [Submit] out as [serve-stage] waves ({!fanout_waves})
+          across the ring before relaying the final submit — the
+          distributed store then serves the submit's stages as
+          hits/fetches. *)
   max_frame : int;
   connect_timeout_s : float;
   steal_margin : int;
@@ -44,6 +44,12 @@ val config :
 (** Defaults: 4 in-flight per worker, 1 s probes, no stage fan-out,
     {!Dl_serve.Protocol.default_max_frame}, 2 s connects, steal margin 2.
     @raise Invalid_argument on an empty worker list. *)
+
+val fanout_waves : Dl_core.Experiment.config -> string list list
+(** The [serve-stage] waves of a fanned-out submit, derived from the stage
+    DAG ({!Dl_core.Experiment.stage_inputs}): the topological levels of
+    every stage the config enables, each stage one level above its deepest
+    input, in execution order within a level. *)
 
 type t
 

@@ -359,13 +359,9 @@ let worker_loop t () =
                         ~key:(Experiment.request_key cfg) e))
             | Run_stage (cfg, stage) -> (
                 let cfg = { cfg with Experiment.pool = Some pool } in
-                let reports = Experiment.run_stage cfg ~stage in
-                match
-                  List.find_opt
-                    (fun (r : Dl_store.Stage.report) -> r.stage = stage)
-                    (List.rev reports)
-                with
-                | Some r ->
+                (* the requested stage's report is the last one *)
+                match List.rev (Experiment.run_stage cfg ~stage) with
+                | r :: _ ->
                     Ok
                       (Stage_result
                          {
@@ -374,7 +370,7 @@ let worker_loop t () =
                            outcome = stage_outcome r.outcome;
                            seconds = r.seconds;
                          })
-                | None ->
+                | [] ->
                     Error
                       (Printf.sprintf "stage %S produced no report" stage))
           with exn ->

@@ -315,6 +315,90 @@ let test_fetch_through () =
               Alcotest.(check string) "same stage key on both workers"
                 first_key second_key)))
 
+(* --- coordinator stage fan-out --------------------------------------------- *)
+
+(* The paper's base stage DAG, written out by hand as an independent
+   oracle for the derived waves: each stage with its input stages. *)
+let base_dag =
+  [
+    ("mapping", []);
+    ("atpg", [ "mapping" ]);
+    ("fault-universe", [ "mapping"; "atpg" ]);
+    ("fault-sim", [ "mapping"; "fault-universe"; "atpg" ]);
+    ("layout-ifa", [ "mapping" ]);
+    ("swift", [ "mapping"; "layout-ifa"; "atpg" ]);
+    ("projection", [ "fault-universe"; "fault-sim"; "layout-ifa"; "swift" ]);
+  ]
+
+let test_fanout_submit () =
+  let dir1 = tmp_dir "fo1" and dir2 = tmp_dir "fo2" in
+  Fun.protect
+    ~finally:(fun () ->
+      remove_tree dir1;
+      remove_tree dir2)
+    (fun () ->
+      with_worker ~cache_dir:dir1 (fun w1 ->
+          with_worker ~cache_dir:dir2 (fun w2 ->
+              let fleet = [ Worker.bound w1; Worker.bound w2 ] in
+              List.iter (fun w -> Worker.set_peers w fleet) [ w1; w2 ];
+              let spec = quick_spec 11 in
+              let cfg =
+                Dl_core.Experiment.config ~seed:11 ~max_random_vectors:32
+                  ~domains:1 (Dl_netlist.Benchmarks.c17 ())
+              in
+              (* the derived waves layer every stage of the served spec
+                 topologically: each stage strictly above all its inputs *)
+              let waves = Coord.fanout_waves cfg in
+              let level stage =
+                let rec go i = function
+                  | [] -> Alcotest.failf "stage %s is in no wave" stage
+                  | w :: rest -> if List.mem stage w then i else go (i + 1) rest
+                in
+                go 0 waves
+              in
+              Alcotest.(check (list string))
+                "waves cover each stage of the spec once"
+                (List.sort compare (List.map fst base_dag))
+                (List.sort compare (List.concat waves));
+              List.iter
+                (fun (stage, inputs) ->
+                  List.iter
+                    (fun i ->
+                      if level i >= level stage then
+                        Alcotest.failf "%s is not above its input %s" stage i)
+                    inputs)
+                base_dag;
+              let coord =
+                Coord.start
+                  (Coord.config ~fanout_stages:true ~probe_period_s:10.0
+                     ~listen:loopback ~workers:fleet ())
+              in
+              Fun.protect
+                ~finally:(fun () -> Coord.stop coord)
+                (fun () ->
+                  let reply =
+                    Client.with_client (Coord.bound coord) (fun c ->
+                        Client.submit c spec)
+                  in
+                  match reply with
+                  | P.Result served ->
+                      let direct = Dl_core.Experiment.run cfg in
+                      let expect =
+                        P.payload_of_experiment
+                          ~key:(Dl_core.Experiment.request_key cfg) direct
+                      in
+                      let strip (p : P.result_payload) =
+                        { p with stage_hits = 0; stage_misses = 0 }
+                      in
+                      Alcotest.(check bool)
+                        "fanned-out answer equals a direct run" true
+                        (compare (strip served.P.payload) (strip expect) = 0);
+                      Alcotest.(check int)
+                        "the waves left nothing for the submit to compute" 0
+                        served.P.payload.P.stage_misses
+                  | P.Server_error m -> Alcotest.failf "coordinator error: %s" m
+                  | _ -> Alcotest.fail "unexpected reply kind"))))
+
 (* --- coordinator failure handling ----------------------------------------- *)
 
 (* A worker that accepts one connection, reads one request frame, then
@@ -467,6 +551,8 @@ let () =
         ] );
       ( "coordinator",
         [
+          Alcotest.test_case "stage fan-out: waves, answer, all hits" `Quick
+            test_fanout_submit;
           Alcotest.test_case "re-dispatch on worker death" `Quick
             test_redispatch_on_worker_death;
           Alcotest.test_case "probe ejection and readmission" `Quick

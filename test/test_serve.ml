@@ -386,6 +386,36 @@ let test_server_ping_and_unknown () =
                 (contains_sub ~sub:"nonesuch" msg)
           | _ -> Alcotest.fail "unknown benchmark must be a Server_error"))
 
+(* Experiment.config is the gate every served spec passes through: a spec
+   it rejects must come back as a Server_error before anything is keyed,
+   queued or executed.  (A negative vector budget cannot be framed at all:
+   the spec codec writes it as an unsigned varint.) *)
+let test_server_rejects_bad_spec () =
+  with_server (fun server socket ->
+      Client.with_client (ep socket) (fun c ->
+          List.iter
+            (fun (what, spec, expect) ->
+              match Client.submit c spec with
+              | P.Server_error msg ->
+                  Alcotest.(check bool)
+                    (what ^ ": diagnostic names the bad value") true
+                    (contains_sub ~sub:expect msg)
+              | _ -> Alcotest.failf "%s: bad spec must be a Server_error" what)
+            [
+              ( "min_weight_ratio 2.0",
+                P.job_spec ~min_weight_ratio:2.0 (P.Builtin "c17"),
+                "min_weight_ratio must be in [0, 1]" );
+              ( "min_weight_ratio NaN",
+                P.job_spec ~min_weight_ratio:Float.nan (P.Builtin "c17"),
+                "min_weight_ratio must be in [0, 1]" );
+              ( "target_yield 1.5",
+                P.job_spec ~target_yield:1.5 (P.Builtin "c17"),
+                "target yield must be in (0, 1)" );
+            ];
+          let stats = Server.stats server in
+          Alcotest.(check int) "nothing executed" 0 stats.P.executed;
+          Alcotest.(check int) "nothing accepted" 0 stats.P.accepted))
+
 let test_server_bit_identical_and_inline () =
   with_server (fun _server socket ->
       Client.with_client (ep socket) (fun c ->
@@ -609,21 +639,29 @@ let test_server_stale_socket_recovery () =
 (* --- key plan vs actual run ---------------------------------------------- *)
 
 let test_stage_keys_match_run_reports () =
-  let cfg =
-    Experiment.config ~seed:13 ~max_random_vectors:32 ~domains:1
-      (Dl_netlist.Benchmarks.c432s_small ())
+  let c = Dl_netlist.Benchmarks.c432s_small () in
+  let check_plan what cfg =
+    let planned = Experiment.stage_keys cfg in
+    let e = Experiment.run cfg in
+    let actual =
+      List.map
+        (fun (r : Dl_store.Stage.report) -> (r.stage, r.key))
+        e.stage_reports
+    in
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": planned keys equal executed keys")
+      actual planned;
+    Alcotest.(check string)
+      (what ^ ": request_key is the projection key")
+      (List.assoc "projection" actual)
+      (Experiment.request_key cfg)
   in
-  let planned = Experiment.stage_keys cfg in
-  let e = Experiment.run cfg in
-  let actual =
-    List.map (fun (r : Dl_store.Stage.report) -> (r.stage, r.key)) e.stage_reports
-  in
-  Alcotest.(check (list (pair string string)))
-    "planned keys equal executed keys" actual planned;
-  Alcotest.(check string)
-    "request_key is the projection key"
-    (List.assoc "projection" actual)
-    (Experiment.request_key cfg)
+  check_plan "base"
+    (Experiment.config ~seed:13 ~max_random_vectors:32 ~domains:1 c);
+  check_plan "optional stages"
+    (Experiment.config ~seed:13 ~max_random_vectors:32 ~domains:1
+       ~mc:(Experiment.mc ~dies:500 ())
+       ~bootstrap:20 ~ndet:3 c)
 
 let test_stage_keys_engine_sensitivity () =
   (* The fault-sim stage key must depend on the engine variant (the cached
@@ -1006,6 +1044,8 @@ let () =
         [
           Alcotest.test_case "ping + unknown benchmark" `Quick
             test_server_ping_and_unknown;
+          Alcotest.test_case "bad spec rejected before queueing" `Quick
+            test_server_rejects_bad_spec;
           Alcotest.test_case "served = direct run; inline bench" `Quick
             test_server_bit_identical_and_inline;
           Alcotest.test_case "concurrent identical requests coalesce" `Quick
