@@ -323,9 +323,14 @@ let pipeline_cmd =
       | k -> Some k
     in
     let cfg =
-      Dl_core.Experiment.config ~seed ~max_random_vectors:max_random ~target_yield
-        ~domains:(resolve_jobs jobs) ~collapse_faults:(not no_collapse)
-        ~sim_engine ?cache_dir:cache ?mc ?bootstrap ?ndet c
+      match
+        Dl_core.Experiment.config ~seed ~max_random_vectors:max_random
+          ~target_yield ~domains:(resolve_jobs jobs)
+          ~collapse_faults:(not no_collapse) ~sim_engine ?cache_dir:cache ?mc
+          ?bootstrap ?ndet c
+      with
+      | cfg -> cfg
+      | exception Invalid_argument msg -> die "%s" msg
     in
     let t0 = Unix.gettimeofday () in
     let e = Dl_core.Experiment.run cfg in

@@ -99,7 +99,7 @@ let stuck_faults : Stuck_at.t array Codec.t =
 
 (* -------------------------------------------------------------- atpg *)
 
-type atpg = {
+type atpg = Dl_atpg.Atpg.result = {
   vectors : bool array array;
   stats : Dl_atpg.Atpg.stats;
   coverage : float;
@@ -412,15 +412,15 @@ type wafer_mc_band = {
 }
 
 type wafer_mc = {
-  mc_dies : int;
-  mc_dies_per_wafer : int;
-  mc_wafers_per_lot : int;
-  mc_wafers : int;
-  mc_lots : int;
-  mc_alpha_wafer : float;
-  mc_alpha_lot : float;
-  mc_defective : int;
-  mc_bands : wafer_mc_band array;
+  dies : int;
+  dies_per_wafer : int;
+  wafers_per_lot : int;
+  wafers : int;
+  lots : int;
+  alpha_wafer : float;
+  alpha_lot : float;
+  defective : int;
+  bands : wafer_mc_band array;
 }
 
 let wafer_mc : wafer_mc Codec.t =
@@ -449,28 +449,28 @@ let wafer_mc : wafer_mc Codec.t =
       defective_passed; wafer_dls }
   in
   let encode buf x =
-    B.write_varint buf x.mc_dies;
-    B.write_varint buf x.mc_dies_per_wafer;
-    B.write_varint buf x.mc_wafers_per_lot;
-    B.write_varint buf x.mc_wafers;
-    B.write_varint buf x.mc_lots;
-    B.write_float buf x.mc_alpha_wafer;
-    B.write_float buf x.mc_alpha_lot;
-    B.write_varint buf x.mc_defective;
-    B.write_array encode_band buf x.mc_bands
+    B.write_varint buf x.dies;
+    B.write_varint buf x.dies_per_wafer;
+    B.write_varint buf x.wafers_per_lot;
+    B.write_varint buf x.wafers;
+    B.write_varint buf x.lots;
+    B.write_float buf x.alpha_wafer;
+    B.write_float buf x.alpha_lot;
+    B.write_varint buf x.defective;
+    B.write_array encode_band buf x.bands
   in
   let decode cur =
-    let mc_dies = B.read_varint cur in
-    let mc_dies_per_wafer = B.read_varint cur in
-    let mc_wafers_per_lot = B.read_varint cur in
-    let mc_wafers = B.read_varint cur in
-    let mc_lots = B.read_varint cur in
-    let mc_alpha_wafer = B.read_float cur in
-    let mc_alpha_lot = B.read_float cur in
-    let mc_defective = B.read_varint cur in
-    let mc_bands = B.read_array decode_band cur in
-    { mc_dies; mc_dies_per_wafer; mc_wafers_per_lot; mc_wafers; mc_lots;
-      mc_alpha_wafer; mc_alpha_lot; mc_defective; mc_bands }
+    let dies = B.read_varint cur in
+    let dies_per_wafer = B.read_varint cur in
+    let wafers_per_lot = B.read_varint cur in
+    let wafers = B.read_varint cur in
+    let lots = B.read_varint cur in
+    let alpha_wafer = B.read_float cur in
+    let alpha_lot = B.read_float cur in
+    let defective = B.read_varint cur in
+    let bands = B.read_array decode_band cur in
+    { dies; dies_per_wafer; wafers_per_lot; wafers; lots;
+      alpha_wafer; alpha_lot; defective; bands }
   in
   { kind = "wafer-mc"; version = 1; encode; decode }
 

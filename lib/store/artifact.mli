@@ -17,9 +17,10 @@ val patterns : bool array array Codec.t
 
 val stuck_faults : Dl_fault.Stuck_at.t array Codec.t
 
-(** ATPG stage output: the ordered vector sequence plus the flow
-    statistics and the redundancy verdicts downstream stages filter on. *)
-type atpg = {
+(** ATPG stage output ({!Dl_atpg.Atpg.result} itself): the ordered vector
+    sequence plus the flow statistics and the redundancy verdicts
+    downstream stages filter on. *)
+type atpg = Dl_atpg.Atpg.result = {
   vectors : bool array array;
   stats : Dl_atpg.Atpg.stats;
   coverage : float;
@@ -79,7 +80,7 @@ type summary = {
 val summary : summary Codec.t
 
 (** One coverage point of a Monte-Carlo DL(T) band
-    (mirrors {!Dl_core.Wafer_mc.band}). *)
+    ({!Dl_core.Wafer_mc.band} is this type). *)
 type wafer_mc_band = {
   k : int;
   coverage : float;
@@ -93,17 +94,17 @@ type wafer_mc_band = {
 }
 
 (** Monte-Carlo wafer/lot simulation output (the [wafer-mc] stage;
-    mirrors {!Dl_core.Wafer_mc.t}). *)
+    {!Dl_core.Wafer_mc.t} is this type). *)
 type wafer_mc = {
-  mc_dies : int;
-  mc_dies_per_wafer : int;
-  mc_wafers_per_lot : int;
-  mc_wafers : int;
-  mc_lots : int;
-  mc_alpha_wafer : float;
-  mc_alpha_lot : float;
-  mc_defective : int;
-  mc_bands : wafer_mc_band array;
+  dies : int;
+  dies_per_wafer : int;
+  wafers_per_lot : int;
+  wafers : int;
+  lots : int;
+  alpha_wafer : float;
+  alpha_lot : float;
+  defective : int;
+  bands : wafer_mc_band array;
 }
 
 val wafer_mc : wafer_mc Codec.t
