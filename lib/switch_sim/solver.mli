@@ -26,6 +26,9 @@ type modification =
           stops flipping logic (its critical resistance). *)
 
 type t
+(** A region compiled once into flat arrays: per-edge gate sources (a
+    local node, a rail, or a slot of the region's external input vector),
+    per-node adjacency, and the ordered input and charge slots. *)
 
 val make :
   Network.t -> instances:int list -> modifications:modification list -> t
@@ -57,8 +60,58 @@ val solve :
 (** [external_value] supplies values of nodes outside the region (gate
     terminals, bridged PI drivers); [charge] supplies the previous-vector
     value of region nodes for floating-node retention ([Ternary.VX] for an
-    unknown initial state).
+    unknown initial state).  Both must be pure: each is read once per
+    solve, for {!input_nodes} and {!nodes} respectively.
 
-    Diagnostics: set the [DL_SOLVER_DEBUG] environment variable to trace
-    every relaxation round (per-node rail distances, edge conduction) on
-    stderr. *)
+    Diagnostics: set the [DL_SOLVER_DEBUG] environment variable (read once,
+    at start-up) to trace every relaxation round (per-node rail distances,
+    edge conduction) on stderr. *)
+
+(** {2 Slot interface}
+
+    [solve] with its reads made explicit: the outcome is a function of the
+    input slots and the charge slots alone, which is what makes memoizing
+    it exact (see {!Memo}). *)
+
+val input_nodes : t -> int array
+(** Global ids of the external nodes the region reads, one per input
+    slot: pad-driven bridged PIs first, then gate terminals outside the
+    region. *)
+
+val charge_count : t -> int
+(** Number of charge slots: the nodes of {!nodes}, in that order. *)
+
+val report_count : t -> int
+(** Number of reported values: the nodes of {!observable_nodes}, in that
+    order. *)
+
+val shape : t -> string
+(** The compiled form with global ids abstracted away.  Regions of equal
+    shape compute the same function from slots to outcome, so they can
+    share one memo table. *)
+
+val solve_slots :
+  t -> inputs:Ternary.t array -> charges:Ternary.t array ->
+  values:Ternary.t array -> bool
+(** [solve_slots t ~inputs ~charges ~values] writes the resolved value of
+    each observable node into [values] (length {!report_count}) and
+    returns the fight flag.  [inputs] has one value per {!input_nodes}
+    entry, [charges] one per charge slot. *)
+
+(** The solver as first written, interpreted from its edge list on every
+    call; kept verbatim as the oracle for the compiled kernel. *)
+module Reference : sig
+  type t
+
+  val make :
+    Network.t -> instances:int list -> modifications:modification list -> t
+
+  val nodes : t -> int list
+  val observable_nodes : t -> int list
+
+  val solve :
+    t ->
+    external_value:(int -> Ternary.t) ->
+    charge:(int -> Ternary.t) ->
+    outcome
+end

@@ -18,7 +18,9 @@ type result = {
   faults : Realistic.t array;
   detection : detection array;
   vectors_applied : int;
-  region_solves : int;  (** Work metric: switch-level region evaluations. *)
+  region_solves : int;
+      (** Work metric: logical switch-level region evaluations, counting
+          those answered from the memo. *)
 }
 
 val run :
@@ -32,7 +34,25 @@ val run :
     controls fault dropping: [`Voltage] stops simulating a fault once
     voltage-detected (fastest), [`Both] once both mechanisms have fired
     (default; exact first-detection data for both curves), [`Never] runs
-    everything (dictionary-grade data). *)
+    everything (dictionary-grade data).
+
+    Each region is compiled once ({!Solver.make}) and its solves go through
+    a {!Memo} table keyed by the region's input and charge slots; regions
+    of equal {!Solver.shape} share one table, which is cleared when the
+    last fault using it drops. *)
+
+(** The engine as first written: the same loop over {!Solver.Reference},
+    with no memo.  Kept as the oracle for {!run}, which must equal it in
+    [detection] and [region_solves]. *)
+module Reference : sig
+  val run :
+    ?drop_when:[ `Voltage | `Both | `Never ] ->
+    ?on_voltage_detect:(fault_index:int -> vector_index:int -> unit) ->
+    Network.t ->
+    faults:Realistic.t array ->
+    vectors:bool array array ->
+    result
+end
 
 val weighted_coverage : result -> Dl_fault.Coverage.t
 (** Θ(k): voltage-detection coverage weighted by fault weights (eq. 6). *)
