@@ -941,6 +941,276 @@ let ndet_dl_monotone (case : Testcase.t) =
     in
     row 0
 
+(* --- swift-reference / swift-open-stuck: switch-level simulation ------- *)
+
+module Realistic = Dl_switch.Realistic
+module Swift = Dl_switch.Swift
+module Solver = Dl_switch.Solver
+module Mapping = Dl_cell.Mapping
+module Stuck_at = Dl_fault.Stuck_at
+
+(* The case's circuit mapped to cells, with the vectors reordered to the
+   mapped circuit's primary inputs (matched by name). *)
+let switch_setup (case : Testcase.t) =
+  let c0 = case.Testcase.circuit in
+  let c = Transform.decompose_for_cells c0 in
+  let pos = Hashtbl.create 16 in
+  Array.iteri (fun i id -> Hashtbl.replace pos (Circuit.name c0 id) i) c0.inputs;
+  let order =
+    Array.map (fun id -> Hashtbl.find pos (Circuit.name c id)) c.Circuit.inputs
+  in
+  let vectors =
+    Array.map (fun v -> Array.map (fun i -> v.(i)) order) case.vectors
+  in
+  let m = Mapping.flatten c in
+  (c, m, Dl_switch.Network.build m, vectors)
+
+(* Charge retention needs held and alternating inputs: append, for the
+   first vector pairs (a, b), the sequence a b b a. *)
+let with_retention vectors =
+  let n = Array.length vectors in
+  let extra =
+    List.concat
+      (List.init (max 0 (min 6 (n - 1))) (fun i ->
+           let a = vectors.(i) and b = vectors.(i + 1) in
+           [ a; b; b; a ]))
+  in
+  Array.append vectors (Array.of_list extra)
+
+(* A seeded sample of every realistic fault kind on the mapped circuit:
+   stuck-open and stuck-on transistors, bridges between arbitrary network
+   nodes (cell outputs, internal nodes, primary inputs, rails), and input
+   and stem opens under every float policy. *)
+let realistic_sample ~seed (c : Circuit.t) (m : Mapping.network) =
+  let rng = Dl_util.Rng.create seed in
+  let fault kind = { Realistic.kind; weight = 1.0; label = "" } in
+  let sample n k f =
+    if n = 0 then [] else List.init k (fun _ -> f (Dl_util.Rng.int rng n))
+  in
+  let n_tr = Array.length m.Mapping.transistors in
+  let gates =
+    Array.of_list
+      (List.filter (fun id -> c.Circuit.nodes.(id).kind <> Gate.Input)
+         (List.init (Circuit.node_count c) Fun.id))
+  in
+  let policies = Realistic.[ Floats_low; Floats_high; Floats_unknown ] in
+  let bridge () =
+    let rec pick () =
+      let a = Dl_util.Rng.int rng m.Mapping.node_count in
+      let b = Dl_util.Rng.int rng m.Mapping.node_count in
+      let rail g = g = m.Mapping.gnd || g = m.Mapping.vdd in
+      if a = b || (rail a && rail b) then pick () else (a, b)
+    in
+    let node_a, node_b = pick () in
+    Realistic.Bridge { node_a; node_b }
+  in
+  let opens =
+    sample (Array.length gates) 3 (fun i ->
+        let gate = gates.(i) in
+        let pin =
+          Dl_util.Rng.int rng (Array.length c.Circuit.nodes.(gate).fanin)
+        in
+        List.map
+          (fun policy -> Realistic.Input_open { gate; pin; policy })
+          policies)
+    @ sample (Circuit.node_count c) 2 (fun node ->
+          List.map (fun policy -> Realistic.Stem_open { node; policy }) policies)
+  in
+  Array.of_list
+    (List.map fault
+       (sample n_tr 8 (fun ti -> Realistic.Transistor_stuck_open ti)
+       @ sample n_tr 8 (fun ti -> Realistic.Transistor_stuck_on ti)
+       @ List.init 12 (fun _ -> bridge ())
+       @ List.concat opens))
+
+let voltage_events run =
+  let events = ref [] in
+  let on_voltage_detect ~fault_index ~vector_index =
+    events := (fault_index, vector_index) :: !events
+  in
+  let (r : Swift.result) = run ~on_voltage_detect in
+  (r, List.rev !events)
+
+(* One region over the first cells of the circuit, as many as it takes
+   for the memo key to outgrow an int (31 slots), with a stuck-open device
+   in the first cell.  Each vector is solved twice through a memo table (a
+   miss, then a hit) and once by the reference solver, with settled
+   charges carried from vector to vector. *)
+let wide_region ~seed (m : Mapping.network) net vectors =
+  let n_inst = Array.length m.Mapping.instances in
+  if n_inst = 0 then None
+  else begin
+    let first = m.Mapping.instances.(0) in
+    let ti =
+      first.Mapping.first_transistor
+      + Dl_util.Rng.int (Dl_util.Rng.create seed)
+          (Dl_cell.Cell.transistor_count first.Mapping.cell)
+    in
+    let modifications = [ Solver.Remove_transistor ti ] in
+    let rec grow k =
+      let instances = List.init k Fun.id in
+      let region = Solver.make net ~instances ~modifications in
+      let slots =
+        Array.length (Solver.input_nodes region) + Solver.charge_count region
+      in
+      if k >= n_inst || slots > 31 then (instances, region)
+      else grow (k + 1)
+    in
+    let instances, region = grow 1 in
+    let reference = Solver.Reference.make net ~instances ~modifications in
+    let memo = Dl_switch.Memo.create () in
+    let input_nodes = Solver.input_nodes region in
+    let charged = Array.of_list (Solver.nodes region) in
+    let charge = Hashtbl.create 64 in
+    let values = Array.make (Solver.report_count region) Ternary.VX in
+    let pi_value v =
+      let by_node = Hashtbl.create 16 in
+      Array.iteri
+        (fun i id -> Hashtbl.replace by_node m.Mapping.signal_node.(id) v.(i))
+        m.Mapping.circuit.Circuit.inputs;
+      fun g ->
+        match Hashtbl.find_opt by_node g with
+        | Some b -> Ternary.of_bool b
+        | None -> Ternary.VX
+    in
+    let charge_of g =
+      Option.value (Hashtbl.find_opt charge g) ~default:Ternary.VX
+    in
+    let rec step k =
+      if k >= min 8 (Array.length vectors) then None
+      else begin
+        let ext = pi_value vectors.(k) in
+        let inputs = Array.map ext input_nodes in
+        let charges = Array.map charge_of charged in
+        let expected =
+          Solver.Reference.solve reference ~external_value:ext ~charge:charge_of
+        in
+        let agree () =
+          let fight =
+            Dl_switch.Memo.solve memo region ~inputs ~charges ~values
+          in
+          fight = expected.Solver.fight
+          && List.for_all2 (fun (_, v) w -> v = w) expected.Solver.values
+               (Array.to_list values)
+        in
+        if not (agree () && agree ()) then
+          failf
+            "swift-reference: %d-cell region (%d input + %d charge slots, \
+             transistor %d open): memoized solve differs from \
+             Solver.Reference on vector %d"
+            (List.length instances) (Array.length inputs)
+            (Array.length charges) ti k
+        else begin
+          List.iter
+            (fun (g, v) -> Hashtbl.replace charge g v)
+            expected.Solver.values;
+          step (k + 1)
+        end
+      end
+    in
+    step 0
+  end
+
+let swift_reference (case : Testcase.t) =
+  let c, m, net, vectors = switch_setup case in
+  let vectors = with_retention vectors in
+  let faults = realistic_sample ~seed:case.Testcase.seed c m in
+  let describe fi = Realistic.describe faults.(fi) in
+  let rec modes = function
+    | [] -> None
+    | (name, drop_when) :: rest -> (
+        let fresh, fresh_events =
+          voltage_events (fun ~on_voltage_detect ->
+              Swift.run ~drop_when ~on_voltage_detect net ~faults ~vectors)
+        in
+        let reference, reference_events =
+          voltage_events (fun ~on_voltage_detect ->
+              Swift.Reference.run ~drop_when ~on_voltage_detect net ~faults
+                ~vectors)
+        in
+        let first_diff =
+          let rec scan i =
+            if i >= Array.length faults then None
+            else if fresh.detection.(i) <> reference.detection.(i) then Some i
+            else scan (i + 1)
+          in
+          scan 0
+        in
+        match first_diff with
+        | Some fi ->
+            failf "swift-reference (%s): fault %d (%s): detection differs" name
+              fi (describe fi)
+        | None when fresh.region_solves <> reference.region_solves ->
+            failf "swift-reference (%s): region_solves %d vs reference %d" name
+              fresh.region_solves reference.region_solves
+        | None when fresh_events <> reference_events ->
+            failf "swift-reference (%s): voltage-detection event streams differ"
+              name
+        | None when drop_when = `Never -> (
+            (* Every fault's signature against the reference's events. *)
+            let rec signatures fi =
+              if fi >= Array.length faults then None
+              else begin
+                let expected = Array.make (Array.length vectors) false in
+                List.iter
+                  (fun (f, k) -> if f = fi then expected.(k) <- true)
+                  reference_events;
+                let fails = Swift.signature net ~fault:faults.(fi) ~vectors in
+                if fails <> expected then
+                  failf "swift-reference: fault %d (%s): signature differs" fi
+                    (describe fi)
+                else signatures (fi + 1)
+              end
+            in
+            match signatures 0 with None -> modes rest | failure -> failure)
+        | None -> modes rest)
+  in
+  match modes [ ("voltage", `Voltage); ("both", `Both); ("never", `Never) ] with
+  | Some _ as failure -> failure
+  | None -> wide_region ~seed:case.Testcase.seed m net vectors
+
+(* An input or stem open with a definite float policy is a stuck-at on that
+   branch or stem: its per-vector voltage detections must be PPSFP's. *)
+let swift_open_stuck (case : Testcase.t) =
+  let c, _, net, vectors = switch_setup case in
+  let pairs =
+    List.concat_map
+      (fun (policy, polarity) ->
+        List.concat_map
+          (fun (nd : Circuit.node) ->
+            let stem =
+              ( Realistic.Stem_open { node = nd.id; policy },
+                Stuck_at.{ site = Stem nd.id; polarity } )
+            in
+            stem
+            :: List.init (Array.length nd.fanin) (fun pin ->
+                   ( Realistic.Input_open { gate = nd.id; pin; policy },
+                     Stuck_at.{ site = Branch { gate = nd.id; pin }; polarity }
+                   )))
+          (Array.to_list c.Circuit.nodes))
+      [ (Realistic.Floats_low, Stuck_at.Sa0);
+        (Realistic.Floats_high, Stuck_at.Sa1) ]
+  in
+  let stuck = Array.of_list (List.map snd pairs) in
+  let detected =
+    Array.map (fun _ -> Array.make (Array.length vectors) false) stuck
+  in
+  let on_detect ~fault_index ~vector_index =
+    detected.(fault_index).(vector_index) <- true
+  in
+  ignore
+    (Fault_sim.run ~drop_detected:false ~on_detect c ~faults:stuck ~vectors);
+  let rec check i = function
+    | [] -> None
+    | (kind, sa) :: rest ->
+        let fault = { Realistic.kind; weight = 1.0; label = "" } in
+        if Swift.signature net ~fault ~vectors <> detected.(i) then
+          failf "swift-open-stuck: %s vs PPSFP %s: per-vector detections differ"
+            (Realistic.describe fault) (Stuck_at.to_string c sa)
+        else check (i + 1) rest
+  in
+  check 0 pairs
+
 (* --- registry ----------------------------------------------------------- *)
 
 let all =
@@ -974,6 +1244,18 @@ let all =
     { name = "sim3-binary";
       doc = "Sim3 equals Sim2 on fully-binary inputs, every node";
       kind = Case sim3_binary };
+    { name = "swift-reference";
+      doc =
+        "memoized compiled swift vs Swift.Reference: detections, \
+         region_solves, event streams and signatures under every drop \
+         rule; a multi-cell region (key wider than an int) vs \
+         Solver.Reference";
+      kind = Case swift_reference };
+    { name = "swift-open-stuck";
+      doc =
+        "input/stem opens floating low/high detect per vector exactly \
+         as the matching stuck-at under PPSFP";
+      kind = Case swift_open_stuck };
     { name = "coverage-monotone";
       doc = "T(k) monotone in k; prefix simulation reproduces the record";
       kind = Case Metamorphic.coverage_monotone };

@@ -26,6 +26,17 @@ val all : t list
       vs {!Dl_logic.Sim2.run_single} across a vector sequence;
     - ["sim3-binary"]: {!Dl_logic.Sim3.run} equals two-valued simulation
       when no input is X;
+    - ["swift-reference"]: {!Dl_switch.Swift.run} vs
+      [Swift.Reference.run] on a seeded sample of every realistic fault
+      kind over the case's circuit mapped to cells (vectors extended with
+      held and alternating pairs, for stuck-open charge retention):
+      detections, [region_solves] and voltage-detection event streams
+      under every drop rule, and every fault's {!Dl_switch.Swift.signature};
+      then a multi-cell region whose memo key is wider than an int, solved
+      through {!Dl_switch.Memo} against {!Dl_switch.Solver.Reference};
+    - ["swift-open-stuck"]: every input and stem open floating low (high)
+      has the per-vector voltage detections ({!Dl_switch.Swift.signature})
+      of the matching stuck-at-0 (1) under PPSFP without dropping;
     - ["coverage-monotone"], ["collapse-classes"]: case-level metamorphic
       properties (see {!Metamorphic});
     - ["eq11-wb"], ["eq9-theta"], ["eq11-dl"], ["yield-weights"],

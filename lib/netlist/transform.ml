@@ -2,8 +2,8 @@ let fits ~max_stack (nd : Circuit.node) =
   let arity = Array.length nd.fanin in
   match nd.kind with
   | Gate.Input | Gate.Buf | Gate.Not -> true
-  | Gate.Xor | Gate.Xnor -> arity <= 2
-  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor -> arity <= max_stack
+  | Gate.Xor | Gate.Xnor -> arity = 2
+  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor -> arity >= 2 && arity <= max_stack
 
 let is_cell_mappable ?(max_stack = 4) (c : Circuit.t) =
   Array.for_all (fits ~max_stack) c.nodes
@@ -51,6 +51,11 @@ let decompose_for_cells ?(max_stack = 4) (c : Circuit.t) =
       else if fits ~max_stack nd then Circuit.Builder.add_gate b name nd.kind fanin_names
       else begin
         match nd.kind with
+        | (Gate.And | Gate.Or | Gate.Xor) when Array.length nd.fanin = 1 ->
+            (* One-input gates have no cell: they are buffers or inverters. *)
+            Circuit.Builder.add_gate b name Gate.Buf fanin_names
+        | (Gate.Nand | Gate.Nor | Gate.Xnor) when Array.length nd.fanin = 1 ->
+            Circuit.Builder.add_gate b name Gate.Not fanin_names
         | Gate.And | Gate.Nand ->
             (* Fold with AND trees, keep the final (possibly inverting)
                stage at the original name. *)

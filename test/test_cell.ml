@@ -126,6 +126,36 @@ let test_flatten_unique_internal_nodes () =
         inst.internal_nodes)
     m.Mapping.instances
 
+(* One-input AND/OR/XOR (NAND/NOR/XNOR) are valid gates with no cell: the
+   decomposition maps them to buffers (inverters), keeping their names and
+   their function. *)
+let test_decompose_one_input_gates () =
+  let b = Circuit.Builder.create ~title:"unary" in
+  Circuit.Builder.add_input b "a";
+  let kinds = Gate.[ And; Or; Xor; Nand; Nor; Xnor ] in
+  List.iteri
+    (fun i kind ->
+      let name = Printf.sprintf "g%d" i in
+      Circuit.Builder.add_gate b name kind [ "a" ];
+      Circuit.Builder.add_output b name)
+    kinds;
+  let c0 = Circuit.Builder.finalize b in
+  Alcotest.(check bool) "not mappable as built" false (Transform.is_cell_mappable c0);
+  let c = Transform.decompose_for_cells c0 in
+  Alcotest.(check bool) "mappable after decomposition" true (Transform.is_cell_mappable c);
+  ignore (Mapping.flatten c);
+  List.iteri
+    (fun i expected ->
+      let nd = c.Circuit.nodes.(Circuit.find c (Printf.sprintf "g%d" i)) in
+      Alcotest.(check string) "kind" (Gate.to_string expected) (Gate.to_string nd.kind))
+    Gate.[ Buf; Buf; Buf; Not; Not; Not ];
+  List.iter
+    (fun a ->
+      Alcotest.(check (array bool)) "function kept"
+        (Dl_logic.Sim2.run_single c0 [| a |])
+        (Dl_logic.Sim2.run_single c [| a |]))
+    [ false; true ]
+
 (* A full-network switch-style evaluation check through Cell.eval: evaluate
    each instance's cell in topological order and compare against gate-level
    simulation — verifies mapping preserves logic end to end. *)
@@ -176,6 +206,8 @@ let () =
           Alcotest.test_case "instance wiring" `Quick test_flatten_instance_wiring;
           Alcotest.test_case "terminals in range" `Quick test_flatten_transistor_terminals_in_range;
           Alcotest.test_case "unmappable rejected" `Quick test_flatten_unmappable;
+          Alcotest.test_case "one-input gates decomposed" `Quick
+            test_decompose_one_input_gates;
           Alcotest.test_case "internal nodes unique" `Quick test_flatten_unique_internal_nodes;
           Alcotest.test_case "behavioural equivalence" `Quick test_flatten_behavioural_equivalence;
         ] );

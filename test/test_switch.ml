@@ -380,6 +380,82 @@ let test_signature_consistent_with_first_detection () =
   Alcotest.(check bool) "signature first = detection first" true
     (first_fail = r.detection.(0).voltage)
 
+(* --- compiled kernel + memo vs the retained reference ------------------- *)
+
+(* A region over the first cells of c432s_small, wide enough that its memo
+   key (input + charge slots) cannot pack into an int, with a stuck-open
+   device so retained charge matters.  Each vector is solved through one
+   memo table twice (a miss, then a hit) and by the reference solver. *)
+let test_wide_region_memo () =
+  let c, m, net = build "c432s_small" in
+  let instances = List.init 24 Fun.id in
+  let ti = m.Mapping.instances.(0).first_transistor in
+  let modifications = [ Solver.Remove_transistor ti ] in
+  let region = Solver.make net ~instances ~modifications in
+  let reference = Solver.Reference.make net ~instances ~modifications in
+  let slots = Array.length (Solver.input_nodes region) + Solver.charge_count region in
+  Alcotest.(check bool) (Printf.sprintf "%d slots exceed an int key" slots) true (slots > 31);
+  Alcotest.(check (list int)) "same observable nodes"
+    (Solver.Reference.observable_nodes reference) (Solver.observable_nodes region);
+  let memo = Memo.create () in
+  let charge = Hashtbl.create 64 in
+  let charge_of g = Option.value (Hashtbl.find_opt charge g) ~default:T3.VX in
+  let values = Array.make (Solver.report_count region) T3.VX in
+  let vectors = random_vectors c 24 in
+  (* Hold every other vector so floating nodes keep their charge. *)
+  let vectors = Array.init 48 (fun k -> vectors.(k / 2)) in
+  Array.iteri
+    (fun k v ->
+      let ext g =
+        let rec scan i =
+          if i >= Circuit.input_count c then T3.VX
+          else if m.Mapping.signal_node.(c.Circuit.inputs.(i)) = g then T3.of_bool v.(i)
+          else scan (i + 1)
+        in
+        scan 0
+      in
+      let expected = Solver.Reference.solve reference ~external_value:ext ~charge:charge_of in
+      let inputs = Array.map ext (Solver.input_nodes region) in
+      let charges = Array.of_list (List.map charge_of (Solver.nodes region)) in
+      for pass = 1 to 2 do
+        let fight = Memo.solve memo region ~inputs ~charges ~values in
+        Alcotest.(check bool) (Printf.sprintf "vector %d pass %d fight" k pass)
+          expected.fight fight;
+        Alcotest.(check (list char)) (Printf.sprintf "vector %d pass %d values" k pass)
+          (List.map (fun (_, x) -> T3.to_char x) expected.values)
+          (Array.to_list (Array.map T3.to_char values))
+      done;
+      List.iter (fun (g, x) -> Hashtbl.replace charge g x) expected.values)
+    vectors
+
+(* The swift-reference oracle over seeded random circuits (the default mix
+   and every generator family): Swift.run = Swift.Reference.run in
+   detections, region_solves and signatures under every drop rule, for all
+   realistic fault kinds, on vector sequences extended with held and
+   alternating pairs (stuck-open charge retention), plus a multi-cell
+   region whose memo key is wider than an int. *)
+let prop_swift_matches_reference =
+  let check =
+    match (Option.get (Dl_check.Oracle.find "swift-reference")).kind with
+    | Dl_check.Oracle.Case f -> f
+    | Dl_check.Oracle.Sweep _ -> assert false
+  in
+  let families = Array.of_list (Generator.Family.names ()) in
+  QCheck.Test.make ~name:"swift = Swift.Reference on random circuits" ~count:12
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let family =
+        if seed mod 2 = 0 then None
+        else Some families.(seed / 2 mod Array.length families)
+      in
+      let case =
+        Dl_check.Testcase.generate ?family ~seed ~gates:(10 + (seed mod 40))
+          ~n_vectors:(2 + (seed mod 60)) ()
+      in
+      match check case with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+
 let () =
   Alcotest.run "dl_switch"
     [
@@ -409,5 +485,10 @@ let () =
           Alcotest.test_case "voltage-drop mode faster" `Quick test_drop_voltage_mode_faster;
           Alcotest.test_case "signature consistent" `Quick
             test_signature_consistent_with_first_detection;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "wide region memo = reference" `Quick test_wide_region_memo;
+          QCheck_alcotest.to_alcotest prop_swift_matches_reference;
         ] );
     ]
