@@ -996,9 +996,11 @@ let submit_cmd =
             die "%S is neither a built-in benchmark nor a .bench file" spec
     in
     let job =
-      Dl_serve.Protocol.job_spec ~seed ~max_random_vectors:max_random
-        ~target_yield ~collapse_faults:(not no_collapse) ?deadline_ms:deadline
-        circuit
+      try
+        Dl_serve.Protocol.job_spec ~seed ~max_random_vectors:max_random
+          ~target_yield ~collapse_faults:(not no_collapse) ?deadline_ms:deadline
+          circuit
+      with Invalid_argument msg -> die "%s" msg
     in
     Dl_serve.Client.with_client (endpoint_of socket tcp) @@ fun client ->
     match Dl_serve.Client.submit_retrying ~attempts:retries client job with

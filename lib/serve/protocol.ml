@@ -18,8 +18,15 @@ type job_spec = {
   deadline_ms : int option;
 }
 
+(* The codec writes both counts as unsigned varints, so a negative one
+   could not be framed: reject it here, where the caller can report it. *)
 let job_spec ?(seed = 7) ?(max_random_vectors = 256) ?(target_yield = 0.75)
     ?(collapse_faults = true) ?(min_weight_ratio = 0.0) ?deadline_ms circuit =
+  if max_random_vectors < 0 then
+    invalid_arg "Protocol.job_spec: max_random_vectors must be >= 0";
+  (match deadline_ms with
+  | Some d when d < 0 -> invalid_arg "Protocol.job_spec: deadline_ms must be >= 0"
+  | _ -> ());
   { circuit; seed; max_random_vectors; target_yield; collapse_faults;
     min_weight_ratio; deadline_ms }
 

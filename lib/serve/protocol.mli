@@ -40,7 +40,9 @@ val job_spec :
   ?collapse_faults:bool -> ?min_weight_ratio:float -> ?deadline_ms:int ->
   circuit_spec -> job_spec
 (** Defaults: seed 7, 256 random vectors, yield 0.75, collapsed universe,
-    no pruning, no deadline. *)
+    no pruning, no deadline.
+    @raise Invalid_argument on a negative [max_random_vectors] or
+    [deadline_ms] (the wire format cannot carry either). *)
 
 type request =
   | Ping

@@ -388,8 +388,8 @@ let test_server_ping_and_unknown () =
 
 (* Experiment.config is the gate every served spec passes through: a spec
    it rejects must come back as a Server_error before anything is keyed,
-   queued or executed.  (A negative vector budget cannot be framed at all:
-   the spec codec writes it as an unsigned varint.) *)
+   queued or executed.  (A negative vector budget or deadline cannot be
+   framed at all: [P.job_spec] rejects it, see below.) *)
 let test_server_rejects_bad_spec () =
   with_server (fun server socket ->
       Client.with_client (ep socket) (fun c ->
@@ -415,6 +415,26 @@ let test_server_rejects_bad_spec () =
           let stats = Server.stats server in
           Alcotest.(check int) "nothing executed" 0 stats.P.executed;
           Alcotest.(check int) "nothing accepted" 0 stats.P.accepted))
+
+(* The codec writes the vector budget and the deadline as unsigned
+   varints: [P.job_spec] rejects negative ones with a message the client
+   can report, and nothing reaches the server. *)
+let test_job_spec_rejects_negative () =
+  with_server (fun server socket ->
+      Client.with_client (ep socket) (fun _ ->
+          Alcotest.check_raises "negative vector budget"
+            (Invalid_argument
+               "Protocol.job_spec: max_random_vectors must be >= 0")
+            (fun () ->
+              ignore (P.job_spec ~max_random_vectors:(-1) (P.Builtin "c17")));
+          Alcotest.check_raises "negative deadline"
+            (Invalid_argument "Protocol.job_spec: deadline_ms must be >= 0")
+            (fun () -> ignore (P.job_spec ~deadline_ms:(-5) (P.Builtin "c17")));
+          let stats = Server.stats server in
+          Alcotest.(check int) "nothing accepted" 0 stats.P.accepted;
+          Alcotest.(check int) "nothing rejected" 0 stats.P.rejected;
+          Alcotest.(check int) "nothing executed" 0 stats.P.executed;
+          Alcotest.(check int) "nothing failed" 0 stats.P.failed))
 
 let test_server_bit_identical_and_inline () =
   with_server (fun _server socket ->
@@ -1046,6 +1066,8 @@ let () =
             test_server_ping_and_unknown;
           Alcotest.test_case "bad spec rejected before queueing" `Quick
             test_server_rejects_bad_spec;
+          Alcotest.test_case "negative budget or deadline rejected" `Quick
+            test_job_spec_rejects_negative;
           Alcotest.test_case "served = direct run; inline bench" `Quick
             test_server_bit_identical_and_inline;
           Alcotest.test_case "concurrent identical requests coalesce" `Quick
