@@ -9,7 +9,7 @@
 
    Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation delay
    quality resistive stability sweep clustered lot par kernel store serve
-   micro mc ndet
+   micro mc ndet swift
 
    The [kernel] section additionally writes BENCH_fault_sim.json
    (machine-readable old-vs-new throughput gate) to the working directory
@@ -19,7 +19,8 @@
    $BENCH_SERVE_JSON; [mc] writes BENCH_mc.json (Monte-Carlo throughput
    and uncertainty-band gate) or $BENCH_MC_JSON; [ndet] writes
    BENCH_ndet.json (multi-detect overhead and DL(n) monotonicity gate) or
-   $BENCH_NDET_JSON. *)
+   $BENCH_NDET_JSON.  [swift] gates the memoized swift engine against its
+   retained reference (equal detections, >= 2x) and writes no file. *)
 
 open Dl_core
 module Coverage = Dl_fault.Coverage
@@ -1656,6 +1657,78 @@ let ndet_bench () =
     "gate: multi-detect overhead under the ceiling; DL(n) monotone \
      non-increasing."
 
+(* ---------------------------------------------------------------- swift *)
+
+(* Gate for the compiled, memoized swift engine against the retained
+   [Swift.Reference] on the c432s_small pipeline inputs (--max-random 64):
+   detections and region_solves must be equal, and the whole fault set at
+   least 2x faster (best of two runs each).  Per-kind rows are single runs. *)
+let swift_bench () =
+  section_banner "Swift" "memoized compiled engine vs reference (c432s_small)";
+  let module Swift = Dl_switch.Swift in
+  let module Realistic = Dl_switch.Realistic in
+  let e =
+    Experiment.run
+      (Experiment.config ~seed:7 ~max_random_vectors:64
+         (Dl_netlist.Benchmarks.c432s_small ()))
+  in
+  let net =
+    Dl_switch.Network.build (Dl_cell.Mapping.flatten e.Experiment.mapped_circuit)
+  in
+  let vectors = e.Experiment.vectors in
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let failed = ref false in
+  let t = Table.create
+      [ ("faults", Table.Left); ("count", Table.Right); ("reference", Table.Right);
+        ("new", Table.Right); ("speedup", Table.Right); ("region_solves", Table.Right) ]
+  in
+  let row ?(repeats = 1) name faults =
+    let best f =
+      let r, t0 = time f in
+      let rec again k acc = if k <= 1 then acc else again (k - 1) (min acc (snd (time f))) in
+      (r, again repeats t0)
+    in
+    let (reference : Swift.result), t_ref =
+      best (fun () -> Swift.Reference.run net ~faults ~vectors)
+    in
+    let (fresh : Swift.result), t_new = best (fun () -> Swift.run net ~faults ~vectors) in
+    if fresh.detection <> reference.detection
+       || fresh.region_solves <> reference.region_solves
+    then begin
+      Printf.printf "FAIL: %s: Swift.run differs from Swift.Reference.run\n" name;
+      failed := true
+    end;
+    Table.add_row t
+      [ name; string_of_int (Array.length faults); Printf.sprintf "%.3fs" t_ref;
+        Printf.sprintf "%.3fs" t_new; Printf.sprintf "%.2fx" (t_ref /. t_new);
+        string_of_int fresh.region_solves ];
+    t_ref /. t_new
+  in
+  let all = e.Experiment.extraction.Dl_extract.Ifa.faults in
+  let speedup = row ~repeats:2 "all" all in
+  List.iter
+    (fun (name, is_kind) ->
+      let faults = Array.of_list (List.filter (fun (f : Realistic.t) -> is_kind f.kind) (Array.to_list all)) in
+      ignore (row name faults))
+    [
+      ("bridge", function Realistic.Bridge _ -> true | _ -> false);
+      ("stuck-on", function Realistic.Transistor_stuck_on _ -> true | _ -> false);
+      ("stuck-open", function Realistic.Transistor_stuck_open _ -> true | _ -> false);
+      ("open", function Realistic.Input_open _ | Realistic.Stem_open _ -> true | _ -> false);
+    ];
+  Table.print t;
+  Printf.printf "%d vectors; whole-set speed-up %.2fx (gate: >= 2x)\n" (Array.length vectors) speedup;
+  if speedup < 2.0 then begin
+    print_endline "FAIL: swift speed-up below 2x";
+    failed := true
+  end;
+  if !failed then exit 1;
+  print_endline "gate: detections and region_solves equal; speed-up >= 2x."
+
 (* ------------------------------------------------------------------ main *)
 
 let sections =
@@ -1684,6 +1757,7 @@ let sections =
     ("micro", micro);
     ("mc", mc_bench);
     ("ndet", ndet_bench);
+    ("swift", swift_bench);
   ]
 
 let () =
